@@ -22,14 +22,11 @@
 //!
 //! Flags: `--records N` (default 200k clicks), `--reducers R` (4),
 //! `--budget-kb K` per-reducer (0 = per-backend defaults, see
-//! [`backends`]), `--skew S` (Zipf exponent, 1.0), `--policy NAME`
-//! (largest-consumer).
+//! [`backends`]), `--skew S` (Zipf exponent, 1.0).
 
-use std::sync::Arc;
-
-use onepass_bench::{arg, arg_f64, arg_usize, pct, save};
+use onepass_bench::{arg_f64, arg_usize, pct, save};
 use onepass_core::config::fmt_bytes;
-use onepass_core::governor::{policy_by_name, MemoryPolicy};
+use onepass_core::governor::MemoryPolicy;
 use onepass_core::table::Table;
 use onepass_core::KvBuf;
 use onepass_groupby::EmitKind;
@@ -55,11 +52,7 @@ fn backends() -> Vec<(&'static str, ReduceBackend, usize)> {
         ),
         ("hybrid-hash", ReduceBackend::HybridHash { fanout: 8 }, 640),
         ("inc-hash", ReduceBackend::IncHash { early: None }, 640),
-        (
-            "freq-hash",
-            ReduceBackend::FreqHash(Default::default()),
-            640,
-        ),
+        ("freq-hash", ReduceBackend::FreqHash, 640),
     ]
 }
 
@@ -101,9 +94,6 @@ fn main() {
     let reducers = arg_usize("reducers", 4);
     let budget_kb = arg_usize("budget-kb", 0); // 0 = per-backend defaults
     let skew = arg_f64("skew", 1.0);
-    let policy_name = arg("policy").unwrap_or_else(|| "largest-consumer".into());
-    let policy = policy_by_name(&policy_name)
-        .unwrap_or_else(|| panic!("unknown spill policy {policy_name:?}"));
 
     println!(
         "== adaptive governor vs static split: sessionization, Zipf({skew}) users, \
@@ -117,7 +107,7 @@ fn main() {
     let splits = make_splits(gen.text_records(records), records / 16 + 1);
 
     let mut table = Table::new(
-        format!("Reduce-side spill traffic, static vs adaptive ({policy_name})"),
+        "Reduce-side spill traffic, static vs adaptive",
         &[
             "backend",
             "global limit",
@@ -153,10 +143,7 @@ fn main() {
             &backend,
             reducers,
             budget_bytes,
-            MemoryPolicy::Adaptive {
-                policy: Arc::clone(&policy),
-                high_water: onepass_core::governor::DEFAULT_HIGH_WATER,
-            },
+            MemoryPolicy::Adaptive,
         );
         onepass_bench::append_report_jsonl(&static_rep.to_jsonl());
         onepass_bench::append_report_jsonl(&adaptive_rep.to_jsonl());

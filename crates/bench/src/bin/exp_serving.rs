@@ -6,7 +6,7 @@
 //! queries, a long tail), and streams one shared synthetic feed — clicks
 //! plus documents — through all of them under a single job-wide memory
 //! governor pool. Every tenant runs its own plan instance; the pool's
-//! spill policy arbitrates shed pressure *across* tenants.
+//! round-robin shed rotation arbitrates pressure *across* tenants.
 //!
 //! Reported:
 //!
@@ -22,15 +22,13 @@
 //!
 //! Flags: `--tenants N` (default 1000), `--records N` clicks (5000),
 //! `--doc-records N` (records/100+1), `--batch B` (512), `--pool-mb MB`
-//! (64), `--shards S` (4), `--policy NAME` (largest-consumer),
-//! `--zipf S` (1.0).
+//! (64), `--shards S` (4), `--zipf S` (1.0).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use onepass_bench::{arg, arg_f64, arg_usize, save};
+use onepass_bench::{arg_f64, arg_usize, save};
 use onepass_core::config::{fmt_bytes, fmt_secs};
-use onepass_core::governor::policy_by_name;
 use onepass_runtime::serve::{
     dump_final_answers, DlqConfig, ServeConfig, Server, TenantEvent, TenantSession,
 };
@@ -56,7 +54,6 @@ fn main() {
     let batch = arg_usize("batch", 512).max(1);
     let pool_mb = arg_usize("pool-mb", 64);
     let shards = arg_usize("shards", 4).max(1);
-    let policy_name = arg("policy").unwrap_or_else(|| "largest-consumer".into());
     let zipf = arg_f64("zipf", 1.0);
 
     let catalog = standard_catalog(CatalogConfig::default());
@@ -65,14 +62,13 @@ fn main() {
 
     println!("== exp_serving: {tenants} tenants over one {pool_mb} MiB pool ==");
     println!(
-        "   {} click + {} doc records, batch {batch}, {shards} shard(s), policy {policy_name}, zipf s={zipf}\n",
+        "   {} click + {} doc records, batch {batch}, {shards} shard(s), zipf s={zipf}\n",
         clicks.len(),
         docs.len()
     );
 
     let mut config = ServeConfig {
         pool_bytes: pool_mb << 20,
-        policy: policy_by_name(&policy_name).expect("known --policy"),
         shards,
         ..ServeConfig::default()
     };

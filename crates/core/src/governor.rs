@@ -16,11 +16,16 @@
 //!   immediately. The governor grows the lease from uncommitted pool
 //!   slack, or **rebalances** idle headroom away from the slackest
 //!   sibling lease;
-//! * when every lease is genuinely loaded (global pressure), a pluggable
-//!   [`SpillPolicy`] picks a **victim** lease and posts a shed request on
-//!   it; the victim's operator sheds bytes (`GroupBy::shed`) at its next
-//!   batch boundary, and the requester falls back to its own spill path
-//!   this one time.
+//! * when every lease is genuinely loaded (global pressure), the
+//!   governor picks a **victim** lease by rotating over the leases that
+//!   hold bytes, and posts a shed request on it; the victim's operator
+//!   sheds bytes (`GroupBy::shed`) at its next batch boundary, and the
+//!   requester falls back to its own spill path this one time.
+//!
+//! Round-robin is the only victim rule: in a measured sweep against
+//! largest-consumer, largest-bucket and coldest-keys it gave the lowest
+//! serving ingest wall time and the fairest per-tenant latency
+//! (EXPERIMENTS.md, "Shed-rule and hash-family sweep").
 //!
 //! Shedding is a correctness-neutral reordering: operators shed by
 //! spilling partial state through the same tagged-record paths their
@@ -33,177 +38,37 @@ use std::sync::{Arc, Mutex, Weak};
 
 use crate::memory::{Escalator, MemoryBudget, WeakBudget};
 
-/// Snapshot of one live lease, handed to [`SpillPolicy::pick_victim`].
-#[derive(Debug, Clone)]
-pub struct LeaseStat {
-    /// Lease id (allocation order).
-    pub id: usize,
-    /// Bytes currently granted to the lease.
-    pub used: usize,
-    /// The lease's current limit.
-    pub limit: usize,
-    /// Operator-published size of its largest shedable unit (0 = none
-    /// published). See [`MemoryBudget::publish_shed_unit`].
-    pub shed_unit: usize,
-    /// Operator-published heat of its coldest resident key (`u64::MAX` =
-    /// unknown). See [`MemoryBudget::publish_heat`].
-    pub coldest_heat: u64,
-}
-
-/// Chooses which lease sheds memory under global pressure.
-///
-/// Returning `None`, or the requester's own id, means "no useful victim":
-/// the governor denies the request and the requester spills locally.
-pub trait SpillPolicy: Send + Sync {
-    /// Policy name for reports and CLI round-tripping.
-    fn name(&self) -> &'static str;
-
-    /// Pick a victim among `leases` (live leases only; `requester` is the
-    /// lease asking for more memory).
-    fn pick_victim(&self, leases: &[LeaseStat], requester: usize) -> Option<usize>;
-}
-
-/// Shed from the lease holding the most bytes — the default: freeing the
-/// biggest consumer yields the most headroom per shed.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LargestConsumer;
-
-impl SpillPolicy for LargestConsumer {
-    fn name(&self) -> &'static str {
-        "largest-consumer"
-    }
-
-    fn pick_victim(&self, leases: &[LeaseStat], _requester: usize) -> Option<usize> {
-        leases
-            .iter()
-            .filter(|l| l.used > 0)
-            .max_by_key(|l| (l.used, l.id))
-            .map(|l| l.id)
-    }
-}
-
-/// Shed from the lease whose largest shedable unit is biggest — tuned for
-/// hybrid hash, where one partition event frees a whole resident bucket.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LargestBucket;
-
-impl SpillPolicy for LargestBucket {
-    fn name(&self) -> &'static str {
-        "largest-bucket"
-    }
-
-    fn pick_victim(&self, leases: &[LeaseStat], _requester: usize) -> Option<usize> {
-        leases
-            .iter()
-            .filter(|l| l.used > 0)
-            .max_by_key(|l| (l.shed_unit, l.used, l.id))
-            .map(|l| l.id)
-    }
-}
-
-/// Shed from the lease with the coldest resident keys — tuned for
-/// frequent hash, whose eviction cost is lowest where the data is cold
-/// (cold states are small and unlikely to be touched again).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ColdestKeys;
-
-impl SpillPolicy for ColdestKeys {
-    fn name(&self) -> &'static str {
-        "coldest-keys"
-    }
-
-    fn pick_victim(&self, leases: &[LeaseStat], _requester: usize) -> Option<usize> {
-        leases
-            .iter()
-            .filter(|l| l.used > 0)
-            .min_by_key(|l| (l.coldest_heat, usize::MAX - l.used, l.id))
-            .map(|l| l.id)
-    }
-}
-
-/// Rotate the victim across leases — the fairness baseline the adaptive
-/// policies are measured against.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    cursor: AtomicUsize,
-}
-
-impl SpillPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn pick_victim(&self, leases: &[LeaseStat], _requester: usize) -> Option<usize> {
-        let candidates: Vec<&LeaseStat> = leases.iter().filter(|l| l.used > 0).collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let at = self.cursor.fetch_add(1, Ordering::Relaxed) % candidates.len();
-        Some(candidates[at].id)
-    }
-}
-
-/// Construct a policy by its [`SpillPolicy::name`] (CLI round-trip).
-pub fn policy_by_name(name: &str) -> Option<Arc<dyn SpillPolicy>> {
-    match name {
-        "largest-consumer" => Some(Arc::new(LargestConsumer)),
-        "largest-bucket" => Some(Arc::new(LargestBucket)),
-        "coldest-keys" => Some(Arc::new(ColdestKeys)),
-        "round-robin" => Some(Arc::new(RoundRobin::default())),
-        _ => None,
-    }
-}
-
 /// Default high-water fraction: above this pool utilization the shuffle
 /// backpressures map-side pushes instead of growing reducer buffers.
 pub const DEFAULT_HIGH_WATER: f64 = 0.85;
 
 /// How the engine allocates reduce-side memory across tasks.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MemoryPolicy {
     /// Every task gets a fixed, independent budget slice (the seed
     /// behaviour).
     #[default]
     Static,
     /// Tasks lease from a shared pool under a [`MemoryGovernor`] that
-    /// rebalances limits and, under pressure, sheds via `policy`.
-    Adaptive {
-        /// Victim-selection policy under global pressure.
-        policy: Arc<dyn SpillPolicy>,
-        /// Pool-utilization fraction above which the shuffle
-        /// backpressures map-side pushes.
-        high_water: f64,
-    },
+    /// rebalances limits and, under pressure, sheds round-robin.
+    Adaptive,
 }
 
 impl MemoryPolicy {
-    /// The adaptive policy with default knobs ([`LargestConsumer`],
-    /// [`DEFAULT_HIGH_WATER`]).
-    pub fn adaptive() -> Self {
-        MemoryPolicy::Adaptive {
-            policy: Arc::new(LargestConsumer),
-            high_water: DEFAULT_HIGH_WATER,
+    /// Short label for reports (`static` / `adaptive`).
+    pub fn label(self) -> &'static str {
+        match self {
+            MemoryPolicy::Static => "static",
+            MemoryPolicy::Adaptive => "adaptive",
         }
     }
 
-    /// Short label for reports.
-    pub fn label(&self) -> String {
-        match self {
-            MemoryPolicy::Static => "static".into(),
-            MemoryPolicy::Adaptive { policy, .. } => format!("adaptive/{}", policy.name()),
-        }
-    }
-}
-
-impl std::fmt::Debug for MemoryPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MemoryPolicy::Static => f.write_str("Static"),
-            MemoryPolicy::Adaptive { policy, high_water } => f
-                .debug_struct("Adaptive")
-                .field("policy", &policy.name())
-                .field("high_water", high_water)
-                .finish(),
+    /// Parse a [`label`](MemoryPolicy::label) (CLI round-trip).
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "static" => Some(MemoryPolicy::Static),
+            "adaptive" => Some(MemoryPolicy::Adaptive),
+            _ => None,
         }
     }
 }
@@ -231,13 +96,13 @@ struct LeaseEntry {
 
 pub(crate) struct GovInner {
     pool: MemoryBudget,
-    policy: Arc<dyn SpillPolicy>,
-    high_water: f64,
     /// Minimum bytes moved per rebalance, so hot leases don't escalate
     /// once per record.
     min_grant: usize,
     leases: Mutex<Vec<LeaseEntry>>,
     next_id: AtomicUsize,
+    /// Victim rotation cursor.
+    cursor: AtomicUsize,
     leases_total: AtomicU64,
     rebalances: AtomicU64,
     sheds: AtomicU64,
@@ -289,32 +154,24 @@ impl Escalator for GovInner {
             }
         }
 
-        // 3. Global pressure: ask a victim to shed. The requester spills
-        //    locally this time; the freed headroom becomes reclaimable on
-        //    its next escalation.
-        let stats: Vec<LeaseStat> = live
-            .iter()
-            .map(|(id, b)| LeaseStat {
-                id: *id,
-                used: b.used(),
-                limit: b.limit(),
-                shed_unit: b.shed_unit_hint(),
-                coldest_heat: b.heat_hint(),
-            })
-            .collect();
-        match self.policy.pick_victim(&stats, lease_id) {
-            Some(victim) if victim != lease_id => {
-                if let Some((_, v)) = live.iter().find(|(id, _)| *id == victim) {
-                    v.request_shed(grant);
-                    self.sheds.fetch_add(1, Ordering::Relaxed);
-                    self.shed_bytes.fetch_add(grant as u64, Ordering::Relaxed);
-                } else {
-                    self.denied.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            _ => {
-                self.denied.fetch_add(1, Ordering::Relaxed);
-            }
+        // 3. Global pressure: ask a victim to shed, rotating over the
+        //    leases that hold bytes. The requester spills locally this
+        //    time; the freed headroom becomes reclaimable on its next
+        //    escalation. Picking the requester itself counts as denied.
+        let loaded: Vec<&(usize, MemoryBudget)> =
+            live.iter().filter(|(_, b)| b.used() > 0).collect();
+        if loaded.is_empty() {
+            self.denied.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        let at = self.cursor.fetch_add(1, Ordering::Relaxed) % loaded.len();
+        let (victim, v) = loaded[at];
+        if *victim == lease_id {
+            self.denied.fetch_add(1, Ordering::Relaxed);
+        } else {
+            v.request_shed(grant);
+            self.sheds.fetch_add(1, Ordering::Relaxed);
+            self.shed_bytes.fetch_add(grant as u64, Ordering::Relaxed);
         }
         false
     }
@@ -329,7 +186,6 @@ pub struct MemoryGovernor {
 impl std::fmt::Debug for MemoryGovernor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryGovernor")
-            .field("policy", &self.inner.policy.name())
             .field("pool_limit", &self.inner.pool.limit())
             .field("pool_used", &self.inner.pool.used())
             .finish()
@@ -338,15 +194,14 @@ impl std::fmt::Debug for MemoryGovernor {
 
 impl MemoryGovernor {
     /// Create a governor owning a `global_limit`-byte pool.
-    pub fn new(global_limit: usize, policy: Arc<dyn SpillPolicy>, high_water: f64) -> Self {
+    pub fn new(global_limit: usize) -> Self {
         MemoryGovernor {
             inner: Arc::new(GovInner {
                 pool: MemoryBudget::new(global_limit),
-                policy,
-                high_water: high_water.clamp(0.0, 1.0),
                 min_grant: (global_limit / 64).clamp(256, 1 << 20),
                 leases: Mutex::new(Vec::new()),
                 next_id: AtomicUsize::new(0),
+                cursor: AtomicUsize::new(0),
                 leases_total: AtomicU64::new(0),
                 rebalances: AtomicU64::new(0),
                 sheds: AtomicU64::new(0),
@@ -381,21 +236,11 @@ impl MemoryGovernor {
         &self.inner.pool
     }
 
-    /// Is pool utilization above the high-water fraction? The shuffle
-    /// uses this to backpressure map-side pushes.
+    /// Is pool utilization at or above [`DEFAULT_HIGH_WATER`]? The
+    /// shuffle uses this to backpressure map-side pushes.
     pub fn over_high_water(&self) -> bool {
         let limit = self.inner.pool.limit();
-        limit > 0 && self.inner.pool.used() as f64 >= self.inner.high_water * limit as f64
-    }
-
-    /// The configured high-water fraction.
-    pub fn high_water_frac(&self) -> f64 {
-        self.inner.high_water
-    }
-
-    /// The victim-selection policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.inner.policy.name()
+        limit > 0 && self.inner.pool.used() as f64 >= DEFAULT_HIGH_WATER * limit as f64
     }
 
     /// Snapshot the activity counters.
@@ -421,7 +266,7 @@ mod tests {
     use super::*;
 
     fn gov(limit: usize) -> MemoryGovernor {
-        MemoryGovernor::new(limit, Arc::new(LargestConsumer), 0.85)
+        MemoryGovernor::new(limit)
     }
 
     #[test]
@@ -473,14 +318,15 @@ mod tests {
     }
 
     #[test]
-    fn global_pressure_posts_shed_on_largest_consumer() {
+    fn global_pressure_posts_shed_on_first_loaded_lease() {
         let g = gov(1000);
         let big = g.lease(600);
         let small = g.lease(400);
         assert!(big.try_grant(600));
         assert!(small.try_grant(390));
-        // No slack, no reclaimable headroom: escalation must pick `big`
-        // as the victim and deny the grant.
+        // No slack, no reclaimable headroom: the rotation starts at the
+        // first loaded lease, so `big` is the victim and the grant is
+        // denied.
         assert!(!small.try_grant_or_request(200));
         assert!(
             big.shed_requested() >= 200,
@@ -516,7 +362,7 @@ mod tests {
 
     #[test]
     fn round_robin_rotates_victims() {
-        let g = MemoryGovernor::new(300, Arc::new(RoundRobin::default()), 0.85);
+        let g = gov(300);
         let a = g.lease(100);
         let b = g.lease(100);
         let c = g.lease(100);
@@ -535,54 +381,72 @@ mod tests {
     }
 
     #[test]
-    fn policies_use_their_hints() {
-        let mk = |used: usize, unit: usize, heat: u64, id: usize| LeaseStat {
-            id,
-            used,
-            limit: used,
-            shed_unit: unit,
-            coldest_heat: heat,
-        };
-        let stats = vec![
-            mk(500, 40, u64::MAX, 0),
-            mk(300, 200, 7, 1),
-            mk(400, 90, 2, 2),
-        ];
-        assert_eq!(LargestConsumer.pick_victim(&stats, 9), Some(0));
-        assert_eq!(LargestBucket.pick_victim(&stats, 9), Some(1));
-        assert_eq!(ColdestKeys.pick_victim(&stats, 9), Some(2));
-        assert_eq!(LargestConsumer.pick_victim(&[], 9), None);
+    fn rotation_skips_empty_leases() {
+        let g = gov(300);
+        let a = g.lease(100);
+        let empty = g.lease(100);
+        let b = g.lease(100);
+        let req = g.lease(0);
+        assert!(a.try_grant(100));
+        assert!(b.try_grant(100));
+        // Loaded leases are [a, b]: the requester holds nothing, so it is
+        // never picked, and the idle lease is never asked to shed.
+        for _ in 0..4 {
+            assert!(!req.try_grant_or_request(200));
+        }
+        assert_eq!(empty.shed_requested(), 0, "empty lease is never a victim");
+        assert_eq!(req.shed_requested(), 0);
+        assert!(a.shed_requested() > 0 && b.shed_requested() > 0);
+        let c = g.counters();
+        assert_eq!(c.sheds, 4);
+        assert_eq!(c.denied, 0);
     }
 
     #[test]
-    fn policy_names_round_trip() {
-        for name in [
-            "largest-consumer",
-            "largest-bucket",
-            "coldest-keys",
-            "round-robin",
-        ] {
-            let p = policy_by_name(name).expect("known policy");
-            assert_eq!(p.name(), name);
-        }
-        assert!(policy_by_name("nope").is_none());
-        assert_eq!(
-            MemoryPolicy::adaptive().label(),
-            "adaptive/largest-consumer"
+    fn picking_the_requester_counts_as_denied() {
+        let g = gov(200);
+        let req = g.lease(100);
+        let other = g.lease(100);
+        assert!(req.try_grant(100));
+        assert!(other.try_grant(100));
+        // Loaded leases are [req, other]; the cursor starts on `req`.
+        assert!(!req.try_grant_or_request(100));
+        let c = g.counters();
+        assert_eq!((c.sheds, c.denied), (0, 1), "self-pick sheds nothing");
+        assert_eq!(req.shed_requested(), 0);
+        assert_eq!(other.shed_requested(), 0);
+        // The next escalation rotates to `other` and posts the shed there.
+        assert!(!req.try_grant_or_request(100));
+        let c = g.counters();
+        assert_eq!((c.sheds, c.denied), (1, 1));
+        assert!(
+            other.shed_requested() >= 100,
+            "shed lands on the chosen lease"
         );
-        assert_eq!(MemoryPolicy::Static.label(), "static");
+        assert_eq!(req.shed_requested(), 0);
+        req.release(100);
+        other.release(100);
+    }
+
+    #[test]
+    fn policy_labels_round_trip() {
+        for p in [MemoryPolicy::Static, MemoryPolicy::Adaptive] {
+            assert_eq!(MemoryPolicy::parse(p.label()), Some(p));
+        }
+        assert_eq!(MemoryPolicy::parse("largest-consumer"), None);
+        assert_eq!(MemoryPolicy::default(), MemoryPolicy::Static);
     }
 
     #[test]
     fn over_high_water_tracks_pool_utilization() {
-        let g = MemoryGovernor::new(1000, Arc::new(LargestConsumer), 0.8);
+        let g = gov(1000);
         let a = g.lease(1000);
         assert!(!g.over_high_water());
-        assert!(a.try_grant(800));
+        assert!(a.try_grant(850));
         assert!(g.over_high_water());
         a.release(100);
         assert!(!g.over_high_water());
-        a.release(700);
+        a.release(750);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! * [`bytes_kv`] — the *byte-array based memory management library*: all
 //!   key/value records live in contiguous byte arenas with offset tables, so
 //!   no per-record heap allocations occur on the hot path.
-//! * [`hashlib`] — the *hash function library*: pair-wise independent hash
-//!   families (multiply-shift and tabulation) used for partitioning,
+//! * [`hashlib`] — the *hash function library*: a pair-wise independent
+//!   multiply-shift family used for partitioning,
 //!   hybrid-hash bucket splits, and sketches.
 //! * [`memory`] — budgeted memory accounting, the mechanism by which
 //!   operators detect "buffer full" (Hadoop's `io.sort.mb` analogue).
 //! * [`governor`] — the adaptive memory governor: a job-wide pool leasing
-//!   hierarchical budgets to tasks, rebalancing under skew and picking
-//!   spill victims via pluggable policies under global pressure.
+//!   hierarchical budgets to tasks, rebalancing under skew and rotating
+//!   shed requests over loaded leases under global pressure.
 //! * [`io`] — the *file management library*: spill-run files with counted
 //!   sequential I/O, backed either by real temp files or by an in-memory
 //!   store for tests.

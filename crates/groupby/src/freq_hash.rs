@@ -12,7 +12,8 @@
 //!
 //! Mechanics:
 //! * every record updates an online frequent-items summary
-//!   ([`SpaceSaving`] by default);
+//!   ([`MisraGries`]: O(1) amortized updates on the per-record hot path,
+//!   and guaranteed lower-bound counts for the hotness gate);
 //! * resident states absorb their records in place (incremental hash);
 //! * when a *new* key arrives under a full budget, a **hotness gate**
 //!   decides: if the summary ranks it above the coldest resident keys, a
@@ -33,13 +34,13 @@
 use std::sync::Arc;
 
 use onepass_core::error::{Error, Result};
-use onepass_core::hashlib::{ByteMap, FamilyHasher, KeyHasher, SeededFamily};
+use onepass_core::hashlib::{ByteMap, KeyHasher, MultiplyShift, SeededFamily};
 use onepass_core::io::{IoStats, RunMeta, RunWriter, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{Phase, Profile};
 use onepass_core::trace::LocalTracer;
 use onepass_core::SegmentBuf;
-use onepass_sketch::{FrequentItems, LossyCounting, MisraGries, SpaceSaving};
+use onepass_sketch::{FrequentItems, MisraGries};
 
 use crate::aggregate::Aggregator;
 use crate::hybrid_hash::{HybridHashGrouper, TAG_RAW, TAG_STATE};
@@ -52,61 +53,24 @@ const STATE_OVERHEAD: usize = 48;
 /// Fraction of resident keys evicted per eviction batch.
 const EVICT_FRACTION: f64 = 0.10;
 
-/// Which online frequent-items algorithm identifies hot keys.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Detector {
-    /// Misra-Gries: O(1) amortized updates, lower-bound counts — the
-    /// default (the hotness gate wants guaranteed counts, and the
-    /// update cost sits on the per-record hot path).
-    MisraGries,
-    /// Space-Saving: upper-bound counts with per-item error; guaranteed
-    /// coverage of every key above N/k, at a higher per-update cost.
-    SpaceSaving,
-    /// Lossy Counting with the given ε.
-    Lossy(f64),
-}
+/// Counters in the frequent-items summary.
+const SKETCH_CAPACITY: usize = 1024;
 
-/// Configuration for [`FreqHashGrouper`].
-#[derive(Debug, Clone)]
-pub struct FreqHashConfig {
-    /// Counters in the frequent-items summary (more ⇒ finer hot/cold
-    /// discrimination, more sketch memory). Default 1024.
-    pub sketch_capacity: usize,
-    /// Hot-key detection algorithm. Default Misra-Gries.
-    pub detector: Detector,
-    /// Emit resident (hot-key) states as early answers at the start of
-    /// `finish`, before any disk pass. Default true.
-    pub early_hot_answers: bool,
-    /// Number of hash buckets for the cold spill. Default 16.
-    pub cold_fanout: usize,
-    /// Fanout of the hybrid-hash children that resolve cold buckets.
-    /// Default 8.
-    pub resolve_fanout: usize,
-}
+/// Number of hash buckets for the cold spill.
+const COLD_FANOUT: usize = 16;
 
-impl Default for FreqHashConfig {
-    fn default() -> Self {
-        FreqHashConfig {
-            sketch_capacity: 1024,
-            detector: Detector::MisraGries,
-            early_hot_answers: true,
-            cold_fanout: 16,
-            resolve_fanout: 8,
-        }
-    }
-}
+/// Fanout of the hybrid-hash children that resolve cold buckets.
+const RESOLVE_FANOUT: usize = 8;
 
 /// The frequent-key incremental hash group-by operator.
 pub struct FreqHashGrouper {
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
-    sketch: Box<dyn FrequentItems>,
-    config: FreqHashConfig,
-    family: SeededFamily,
-    /// Cached cold-bucket hasher (member 1_000_003 of `family`) — built
+    sketch: MisraGries,
+    /// Cold-bucket hasher (member 1_000_003 of the default family) — built
     /// once so per-record cold routing never re-derives the member.
-    cold_hasher: FamilyHasher,
+    cold_hasher: MultiplyShift,
     states: ByteMap<Vec<u8>>,
     reserved: usize,
     peak_reserved: usize,
@@ -135,50 +99,18 @@ impl std::fmt::Debug for FreqHashGrouper {
 }
 
 impl FreqHashGrouper {
-    /// Create with default configuration.
+    /// Create a frequent-hash grouper charging `budget`.
     pub fn new(store: Arc<dyn SpillStore>, budget: MemoryBudget, agg: Arc<dyn Aggregator>) -> Self {
-        Self::with_config(store, budget, agg, FreqHashConfig::default())
-    }
-
-    /// Create with explicit configuration.
-    pub fn with_config(
-        store: Arc<dyn SpillStore>,
-        budget: MemoryBudget,
-        agg: Arc<dyn Aggregator>,
-        config: FreqHashConfig,
-    ) -> Self {
-        Self::with_family(store, budget, agg, config, SeededFamily::default())
-    }
-
-    /// Create with explicit configuration and hash family (see
-    /// `EngineConfigBuilder::hash_family`). The family routes cold-spill
-    /// buckets here and probe buckets in the hybrid-hash children that
-    /// resolve them.
-    pub fn with_family(
-        store: Arc<dyn SpillStore>,
-        budget: MemoryBudget,
-        agg: Arc<dyn Aggregator>,
-        config: FreqHashConfig,
-        family: SeededFamily,
-    ) -> Self {
         let io_base = store.stats();
-        let k = config.sketch_capacity.max(1);
-        let sketch: Box<dyn FrequentItems> = match config.detector {
-            Detector::MisraGries => Box::new(MisraGries::new(k)),
-            Detector::SpaceSaving => Box::new(SpaceSaving::new(k)),
-            Detector::Lossy(eps) => Box::new(LossyCounting::new(eps)),
-        };
         // Member index chosen not to collide with the hybrid children's
         // level-0 function (they start at member 0).
-        let cold_hasher = family.member(1_000_003);
+        let cold_hasher = SeededFamily::default().member(1_000_003);
         FreqHashGrouper {
             store,
             budget,
             agg,
-            sketch,
-            family,
+            sketch: MisraGries::new(SKETCH_CAPACITY),
             cold_hasher,
-            config,
             states: ByteMap::default(),
             reserved: 0,
             peak_reserved: 0,
@@ -220,10 +152,9 @@ impl FreqHashGrouper {
     }
 
     /// Hotness of a key: the sketch's *guaranteed* count lower bound
-    /// (`count − error`), 0 when untracked. Using an upper bound here
-    /// would make every newly-inserted Space-Saving entry (which inherits
-    /// the evicted minimum as its count) look hot and trigger eviction
-    /// storms; the lower bound only credits observed occurrences.
+    /// (`count − error`), 0 when untracked. The lower bound only credits
+    /// observed occurrences, so a key the sketch has just started
+    /// tracking does not look hot and trigger eviction storms.
     fn heat(&self, key: &[u8]) -> u64 {
         self.sketch
             .estimate(key)
@@ -301,9 +232,6 @@ impl FreqHashGrouper {
         self.evictions += 1;
         self.profile
             .add_time(Phase::ReduceGroup, group_start.elapsed());
-        // Advertise how cold this operator's evictable tail is, so the
-        // governor's ColdestKeys policy can rank victims.
-        self.budget.publish_heat(self.cold_threshold);
         self.trace.instant(
             "evict",
             "freq",
@@ -316,13 +244,13 @@ impl FreqHashGrouper {
     }
 
     fn cold_bucket(&self, key: &[u8]) -> usize {
-        self.cold_hasher.bucket(key, self.config.cold_fanout)
+        self.cold_hasher.bucket(key, COLD_FANOUT)
     }
 
     fn write_cold(&mut self, key: &[u8], payload: &[u8], is_state: bool) -> Result<()> {
         if self.cold.is_none() {
-            let mut writers = Vec::with_capacity(self.config.cold_fanout);
-            for _ in 0..self.config.cold_fanout {
+            let mut writers = Vec::with_capacity(COLD_FANOUT);
+            for _ in 0..COLD_FANOUT {
                 writers.push(self.store.begin_run()?);
             }
             self.cold = Some(writers);
@@ -441,9 +369,7 @@ impl GroupBy for FreqHashGrouper {
         }
 
         // 1. Hot-key early answers, straight from memory.
-        if self.config.early_hot_answers {
-            self.emit_resident_early(sink);
-        }
+        self.emit_resident_early(sink);
 
         // 2. Move the hot partial states into their buckets, so the exact
         //    pass sees each key's complete data in one place.
@@ -470,12 +396,11 @@ impl GroupBy for FreqHashGrouper {
                     ("records", meta.records as f64),
                 ],
             );
-            let mut child = HybridHashGrouper::with_family(
+            let mut child = HybridHashGrouper::new(
                 Arc::clone(&self.store),
                 self.budget.clone(),
-                self.config.resolve_fanout,
+                RESOLVE_FANOUT,
                 Arc::clone(&self.agg),
-                self.family.clone(),
             )?;
             {
                 let mut reader = self.store.open_run(meta.id)?;
@@ -676,22 +601,5 @@ mod tests {
         let mut g = FreqHashGrouper::new(Arc::new(store), budget.clone(), Arc::new(CountAgg));
         let _ = run_op(&mut g, pairs(&skewed_records(3000, 400)));
         assert_eq!(budget.used(), 0);
-    }
-
-    #[test]
-    fn disabling_early_answers_suppresses_them() {
-        let store = SharedMemStore::new();
-        let mut g = FreqHashGrouper::with_config(
-            Arc::new(store),
-            MemoryBudget::new(2000),
-            Arc::new(CountAgg),
-            FreqHashConfig {
-                early_hot_answers: false,
-                ..Default::default()
-            },
-        );
-        let (_, stats, sink) = run_op(&mut g, pairs(&skewed_records(3000, 400)));
-        assert_eq!(stats.early_emits, 0);
-        assert_eq!(sink.early_count(), 0);
     }
 }

@@ -14,8 +14,8 @@
 //! or a lease on the same [`MemoryGovernor`] pool live reducers draw
 //! from. Under pressure the cache is an *evictable* tenant, never a
 //! starving one: when a grant is denied, or when the governor's
-//! [`SpillPolicy`](onepass_core::governor::SpillPolicy) picks the cache
-//! as a shed victim, least-recently-used datasets are spilled to the
+//! round-robin shed rotation picks the cache as a victim,
+//! least-recently-used datasets are spilled to the
 //! [`SpillStore`] (one run per partition, so partition boundaries
 //! survive the round-trip) and transparently reloaded on next use.
 //! Reducer escalations therefore reclaim cache memory instead of
@@ -132,7 +132,7 @@ impl DatasetCache {
     }
 
     /// A cache leasing from `governor`'s shared pool — the cache
-    /// competes with live reducers under the governor's spill policy,
+    /// competes with live reducers under the governor's shed rotation,
     /// and evicts (rather than holding memory) when picked as a victim.
     pub fn with_governor(
         governor: &MemoryGovernor,
@@ -468,25 +468,6 @@ impl DatasetCache {
         if let Some(g) = &self.resident_gauge {
             g.set(resident as f64);
         }
-        // Tell spill policies how big one shedable unit is and how cold
-        // we are, so ColdestKeys/LargestBucket-style policies can reason
-        // about the cache the way they reason about reducer tables.
-        let coldest = inner
-            .datasets
-            .values()
-            .filter(|d| d.resident_bytes > 0)
-            .map(|d| d.last_use)
-            .min();
-        if let Some(stamp) = coldest {
-            self.budget.publish_heat(stamp);
-        }
-        let max_unit = inner
-            .datasets
-            .values()
-            .map(|d| d.resident_bytes)
-            .max()
-            .unwrap_or(0);
-        self.budget.publish_shed_unit(max_unit);
     }
 }
 
@@ -526,7 +507,7 @@ pub fn partition_pairs<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onepass_core::governor::{LargestConsumer, MemoryGovernor};
+    use onepass_core::governor::MemoryGovernor;
     use onepass_core::obs::MetricsRegistry;
 
     fn seg(tag: u8, n: usize) -> SegmentBuf {
@@ -584,14 +565,15 @@ mod tests {
 
     #[test]
     fn governor_shed_request_is_honored() {
-        let gov = MemoryGovernor::new(1 << 20, Arc::new(LargestConsumer), 0.9);
+        let gov = MemoryGovernor::new(1 << 20);
         let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
         let cache = DatasetCache::with_governor(&gov, store, CacheConfig::default());
         cache.put("hot", vec![seg(1, 100)]).unwrap();
         assert!(cache.stats().resident_bytes > 0);
 
-        // A sibling lease requesting more than the pool's slack forces
-        // the policy to pick the cache (largest consumer) as victim.
+        // A sibling lease requesting more than the pool's slack forces a
+        // shed; the cache is the only lease holding bytes, so the
+        // rotation picks it.
         let sibling = gov.lease(0);
         assert!(!sibling.try_grant_or_request(1 << 20));
         // Next cache touch honors the posted shed request.

@@ -34,7 +34,6 @@ use std::time::{Duration, Instant};
 use onepass_core::error::Result;
 use onepass_core::fault::{FaultInjector, FaultPlan};
 use onepass_core::governor::MemoryPolicy;
-use onepass_core::hashlib::HashFamily;
 use onepass_core::trace::Tracer;
 
 use crate::executor;
@@ -172,8 +171,8 @@ pub struct EngineConfig {
     /// `job.reduce_budget_bytes`. [`MemoryPolicy::Adaptive`] pools
     /// `reduce_budget_bytes × reducers` under a
     /// [`MemoryGovernor`](onepass_core::governor::MemoryGovernor) that
-    /// rebalances lease limits between concurrent reducers, picks spill
-    /// victims via the configured policy under global pressure, and gates
+    /// rebalances lease limits between concurrent reducers, rotates shed
+    /// requests over loaded leases under global pressure, and gates
     /// map-side shuffle pushes above the high-water fraction.
     pub memory_policy: MemoryPolicy,
     /// Live-metrics registry. `None` (default) builds no instruments:
@@ -183,12 +182,6 @@ pub struct EngineConfig {
     /// [`MetricsServer`](onepass_core::obs::MetricsServer)) to get live
     /// per-stage progress, phase cost, shuffle volume, and TTFA metrics.
     pub metrics: Option<onepass_core::obs::MetricsRegistry>,
-    /// Hash family for the engine's hash groupers (reduce-side hybrid /
-    /// frequent-key tables and their recursive children). Default
-    /// [`HashFamily::MultiplyShift`] — one multiply + shift per probe;
-    /// [`HashFamily::Tabulation`] trades a table lookup per byte for
-    /// stronger independence guarantees.
-    pub hash_family: HashFamily,
     /// Worker-scoped in-node combining of map output (see
     /// [`crate::in_node`]). Default [`InNodeCombine::On`]: eligible jobs
     /// (hash-combine map side, combinable aggregate, speculation off)
@@ -226,7 +219,6 @@ impl Default for EngineConfig {
             faults: FaultInjector::none(),
             memory_policy: MemoryPolicy::Static,
             metrics: None,
-            hash_family: HashFamily::default(),
             in_node_combine: InNodeCombine::default(),
             transport: Transport::default(),
         }
@@ -304,12 +296,6 @@ impl EngineConfigBuilder {
     /// Publish live metrics into `registry` while jobs run.
     pub fn metrics(mut self, registry: onepass_core::obs::MetricsRegistry) -> Self {
         self.cfg.metrics = Some(registry);
-        self
-    }
-
-    /// Hash family for the engine's hash groupers.
-    pub fn hash_family(mut self, family: HashFamily) -> Self {
-        self.cfg.hash_family = family;
         self
     }
 
@@ -497,7 +483,7 @@ mod tests {
             },
             ReduceBackend::HybridHash { fanout: 4 },
             ReduceBackend::IncHash { early: None },
-            ReduceBackend::FreqHash(Default::default()),
+            ReduceBackend::FreqHash,
         ];
         for backend in backends {
             let label = backend.label();
@@ -580,9 +566,8 @@ mod tests {
             .retry(RetryPolicy::attempts(3))
             .speculation(SpeculationConfig::on())
             .faults(FaultPlan::new().fail_map(0, 0, 1))
-            .memory_policy(MemoryPolicy::adaptive())
+            .memory_policy(MemoryPolicy::Adaptive)
             .metrics(onepass_core::obs::MetricsRegistry::new())
-            .hash_family(HashFamily::Tabulation)
             .in_node_combine(InNodeCombine::Off)
             .transport(Transport::Tcp {
                 workers: vec!["127.0.0.1:7777".into()],
@@ -595,15 +580,13 @@ mod tests {
         assert_eq!(cfg.retry.max_attempts, 3);
         assert!(cfg.speculation.enabled);
         assert!(cfg.faults.is_active());
-        assert!(matches!(cfg.memory_policy, MemoryPolicy::Adaptive { .. }));
+        assert_eq!(cfg.memory_policy, MemoryPolicy::Adaptive);
         assert!(cfg.metrics.is_some());
-        assert_eq!(cfg.hash_family, HashFamily::Tabulation);
         assert_eq!(cfg.in_node_combine, InNodeCombine::Off);
         assert!(matches!(cfg.transport, Transport::Tcp { ref workers } if workers.len() == 1));
         let defaults = EngineConfig::builder().build();
-        assert!(matches!(defaults.memory_policy, MemoryPolicy::Static));
+        assert_eq!(defaults.memory_policy, MemoryPolicy::Static);
         assert!(defaults.metrics.is_none());
-        assert_eq!(defaults.hash_family, HashFamily::MultiplyShift);
         assert!(matches!(defaults.transport, Transport::InProc));
         assert!(
             defaults.in_node_combine.is_on(),
@@ -620,7 +603,7 @@ mod tests {
             },
             ReduceBackend::HybridHash { fanout: 4 },
             ReduceBackend::IncHash { early: None },
-            ReduceBackend::FreqHash(Default::default()),
+            ReduceBackend::FreqHash,
         ] {
             let label = backend.label();
             let job = JobSpec::builder("wc")
@@ -640,7 +623,7 @@ mod tests {
             let static_rep = Engine::new().run(&job, input.clone()).unwrap();
             let adaptive = Engine::with_config(
                 EngineConfig::builder()
-                    .memory_policy(MemoryPolicy::adaptive())
+                    .memory_policy(MemoryPolicy::Adaptive)
                     .build(),
             );
             let adaptive_rep = adaptive.run(&job, input).unwrap();
@@ -650,6 +633,49 @@ mod tests {
                 "{label}: adaptive governance changed the output"
             );
         }
+    }
+
+    #[test]
+    fn adaptive_pressure_sheds_and_stalls_at_default_high_water() {
+        // Far more distinct keys than four 4 KiB reducer tables hold, fed
+        // in small push segments through a shallow channel: the pooled
+        // leases all fill, so escalations must shed, and map pushes find
+        // the pool over the fixed 0.85 high water with reducer queues
+        // backed up.
+        let lines: Vec<String> = (0..400)
+            .map(|i| {
+                (0..20)
+                    .map(|j| format!("k{}", (i * 20 + j) % 5000))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect();
+        let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
+        let job = JobSpec::builder("pressure")
+            .map_fn(Arc::new(word_map))
+            .aggregate(Arc::new(SumAgg))
+            .reducers(4)
+            .reduce_budget_bytes(4096)
+            .map_side(MapSideMode::HashPartitionOnly)
+            .shuffle(ShuffleMode::Push { granularity: 64 })
+            .backend(ReduceBackend::FreqHash)
+            .build()
+            .unwrap();
+        let static_rep = Engine::new().run(&job, splits(&refs, 20)).unwrap();
+        let adaptive_rep = Engine::with_config(
+            EngineConfig::builder()
+                .memory_policy(MemoryPolicy::Adaptive)
+                .channel_depth(8)
+                .build(),
+        )
+        .run(&job, splits(&refs, 20))
+        .unwrap();
+        assert_eq!(final_counts(&static_rep), final_counts(&adaptive_rep));
+        assert!(adaptive_rep.mem_sheds > 0, "no sheds under pressure");
+        assert!(
+            adaptive_rep.backpressure_stalls > 0,
+            "no push stalls over high water"
+        );
     }
 
     #[test]

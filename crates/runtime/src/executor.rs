@@ -17,7 +17,6 @@ use crossbeam::channel::unbounded;
 use onepass_core::bytes_kv::KvBuf;
 use onepass_core::error::{Error, Result};
 use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
-use onepass_core::hashlib::{HashFamily, SeededFamily};
 use onepass_core::io::{FileSpillStore, SharedMemStore, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::Phase;
@@ -89,28 +88,24 @@ pub(crate) fn build_hash_grouper(
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
     tracer: Option<LocalTracer>,
-    family: HashFamily,
 ) -> Result<Box<dyn GroupBy>> {
-    let seeded = SeededFamily::of(family);
     Ok(match backend {
         ReduceBackend::HybridHash { fanout } => {
-            let mut g = HybridHashGrouper::with_family(store, budget, *fanout, agg, seeded)?;
+            let mut g = HybridHashGrouper::new(store, budget, *fanout, agg)?;
             if let Some(t) = tracer {
                 g.set_tracer(t);
             }
             Box::new(g)
         }
         ReduceBackend::IncHash { early } => {
-            // Incremental hash probes only its resident table (no bucket
-            // routing), so the family choice has nothing to configure.
             let mut g = IncHashGrouper::with_early(store, budget, agg, early.clone());
             if let Some(t) = tracer {
                 g.set_tracer(t);
             }
             Box::new(g)
         }
-        ReduceBackend::FreqHash(cfg) => {
-            let mut g = FreqHashGrouper::with_family(store, budget, agg, cfg.clone(), seeded);
+        ReduceBackend::FreqHash => {
+            let mut g = FreqHashGrouper::new(store, budget, agg);
             if let Some(t) = tracer {
                 g.set_tracer(t);
             }
@@ -132,11 +127,10 @@ pub(crate) fn build_incremental_grouper(
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
-    family: HashFamily,
 ) -> Result<Box<dyn GroupBy>> {
     match backend {
-        ReduceBackend::IncHash { .. } | ReduceBackend::FreqHash(_) => {
-            build_hash_grouper(backend, store, budget, agg, None, family)
+        ReduceBackend::IncHash { .. } | ReduceBackend::FreqHash => {
+            build_hash_grouper(backend, store, budget, agg, None)
         }
         other => Err(Error::Config(format!(
             "incremental grouping requires an incremental backend; {} is blocking",
@@ -204,12 +198,10 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     // (pooling across stages) takes precedence.
     let governor = match governor {
         Some(g) => Some(g),
-        None => match &config.memory_policy {
+        None => match config.memory_policy {
             MemoryPolicy::Static => None,
-            MemoryPolicy::Adaptive { policy, high_water } => Some(MemoryGovernor::new(
+            MemoryPolicy::Adaptive => Some(MemoryGovernor::new(
                 job.reduce_budget_bytes.saturating_mul(job.reducers.max(1)),
-                Arc::clone(policy),
-                *high_water,
             )),
         },
     };
@@ -242,7 +234,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         None
     };
     let spill = config.spill;
-    let hash_family = config.hash_family;
     // In-node combining: map tasks on the same worker drain into one
     // shared combine table that flushes far less often than per-task
     // combining ships (see `crate::in_node` for eligibility + protocol).
@@ -266,7 +257,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     let remote_reduce = tcp_workers.is_some() && tap.is_none();
     let cluster = match tcp_workers {
         Some(addrs) => {
-            let wire = WireJob::from_job(job, retry.max_attempts, spill, hash_family);
+            let wire = WireJob::from_job(job, retry.max_attempts, spill);
             let collect = job.collect_output.is_collect();
             let sink_telemetry = telemetry.clone();
             let sink_factory: SinkFactory<'_> = Box::new(move |_p| {
@@ -500,7 +491,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     backoff: retry.backoff,
                     dedup_attempts: ft_active,
                     injector,
-                    hash_family,
                 };
                 let res = run_reduce_task_open(
                     job,

@@ -5,8 +5,7 @@ use std::sync::Arc;
 
 use onepass_core::config::{DEFAULT_MERGE_FACTOR, MIB};
 use onepass_core::error::{Error, Result};
-use onepass_core::hashlib::{FamilyHasher, HashFamily, KeyHasher, SeededFamily};
-use onepass_groupby::freq_hash::FreqHashConfig;
+use onepass_core::hashlib::{KeyHasher, MultiplyShift, SeededFamily};
 use onepass_groupby::inc_hash::EarlyEmit;
 use onepass_groupby::Aggregator;
 
@@ -63,24 +62,16 @@ pub trait Partitioner: Send + Sync {
 /// Default hash partitioner.
 #[derive(Debug, Clone)]
 pub struct HashPartitioner {
-    hasher: FamilyHasher,
-}
-
-impl HashPartitioner {
-    /// Partitioner drawing its hash function from `family` (the engine's
-    /// configured [`HashFamily`]).
-    pub fn with_family(family: HashFamily) -> Self {
-        // A family member distinct from those used inside the group-by
-        // operators, so partition and bucket decisions are independent.
-        HashPartitioner {
-            hasher: SeededFamily::of(family).member(7_777_777),
-        }
-    }
+    hasher: MultiplyShift,
 }
 
 impl Default for HashPartitioner {
     fn default() -> Self {
-        Self::with_family(HashFamily::default())
+        // A family member distinct from those used inside the group-by
+        // operators, so partition and bucket decisions are independent.
+        HashPartitioner {
+            hasher: SeededFamily::default().member(7_777_777),
+        }
     }
 }
 
@@ -190,7 +181,7 @@ pub enum ReduceBackend {
         early: Option<Arc<dyn EarlyEmit>>,
     },
     /// §V technique 3: incremental hash + frequent-key residency.
-    FreqHash(FreqHashConfig),
+    FreqHash,
 }
 
 impl std::fmt::Debug for ReduceBackend {
@@ -212,7 +203,7 @@ impl std::fmt::Debug for ReduceBackend {
                 .debug_struct("IncHash")
                 .field("early", &early.is_some())
                 .finish(),
-            ReduceBackend::FreqHash(c) => f.debug_tuple("FreqHash").field(c).finish(),
+            ReduceBackend::FreqHash => f.write_str("FreqHash"),
         }
     }
 }
@@ -225,7 +216,7 @@ impl ReduceBackend {
             ReduceBackend::SortMerge { .. } => "sort-merge+snapshots (HOP)",
             ReduceBackend::HybridHash { .. } => "hybrid-hash",
             ReduceBackend::IncHash { .. } => "incremental-hash",
-            ReduceBackend::FreqHash(_) => "frequent-hash",
+            ReduceBackend::FreqHash => "frequent-hash",
         }
     }
 
@@ -234,7 +225,7 @@ impl ReduceBackend {
         match self {
             ReduceBackend::SortMerge { .. } | ReduceBackend::HybridHash { .. } => false,
             ReduceBackend::IncHash { early } => early.is_some(),
-            ReduceBackend::FreqHash(c) => c.early_hot_answers,
+            ReduceBackend::FreqHash => true,
         }
     }
 }
@@ -471,7 +462,7 @@ impl JobSpecBuilder {
         };
         self.map_side(map_side)
             .shuffle(ShuffleMode::Push { granularity: 4096 })
-            .backend(ReduceBackend::FreqHash(FreqHashConfig::default()))
+            .backend(ReduceBackend::FreqHash)
     }
 }
 

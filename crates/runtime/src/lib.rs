@@ -92,10 +92,6 @@ pub mod prelude {
     };
     pub use crate::transport::{worker::WorkerOptions, JobRegistry, Transport};
     pub use onepass_core::fault::{FaultInjector, FaultPlan};
-    pub use onepass_core::governor::{
-        policy_by_name, ColdestKeys, LargestBucket, LargestConsumer, MemoryGovernor, MemoryPolicy,
-        RoundRobin, SpillPolicy,
-    };
-    pub use onepass_core::hashlib::HashFamily;
+    pub use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
     pub use onepass_core::{OwnedKv, SegmentBuf, SegmentBufBuilder};
 }

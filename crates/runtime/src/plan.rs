@@ -863,23 +863,21 @@ fn run_pipelined(
     // rounds' reducers and the cache in one arbitration domain, which is
     // what lets reducer pressure evict cached datasets instead of
     // spilling live tables.
-    let governor = match &config.memory_policy {
+    let governor = match config.memory_policy {
         MemoryPolicy::Static => None,
-        MemoryPolicy::Adaptive { policy, high_water } => {
-            match cache.and_then(|c| c.governor().cloned()) {
-                Some(g) => Some(g),
-                None => {
-                    let pool = plan.stages.iter().fold(0usize, |acc, st| {
-                        acc.saturating_add(
-                            st.job
-                                .reduce_budget_bytes
-                                .saturating_mul(st.job.reducers.max(1)),
-                        )
-                    });
-                    Some(MemoryGovernor::new(pool, Arc::clone(policy), *high_water))
-                }
+        MemoryPolicy::Adaptive => match cache.and_then(|c| c.governor().cloned()) {
+            Some(g) => Some(g),
+            None => {
+                let pool = plan.stages.iter().fold(0usize, |acc, st| {
+                    acc.saturating_add(
+                        st.job
+                            .reduce_budget_bytes
+                            .saturating_mul(st.job.reducers.max(1)),
+                    )
+                });
+                Some(MemoryGovernor::new(pool))
             }
-        }
+        },
     };
 
     // A stage that caches its output must materialize it even when it
@@ -1354,7 +1352,7 @@ mod tests {
         use onepass_core::governor::MemoryPolicy;
         let engine = Engine::with_config(
             EngineConfig::builder()
-                .memory_policy(MemoryPolicy::adaptive())
+                .memory_policy(MemoryPolicy::Adaptive)
                 .build(),
         );
         let plan = histogram_plan();

@@ -43,7 +43,7 @@ use crossbeam::channel::Receiver;
 use onepass_core::bytes_kv::{SegmentBuf, SegmentBufBuilder};
 use onepass_core::error::{Error, Result};
 use onepass_core::fault::{FaultAction, FaultInjector, FaultTarget};
-use onepass_core::hashlib::{ByteMap, HashFamily};
+use onepass_core::hashlib::ByteMap;
 use onepass_core::io::{IoStats, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{gauges, Phase, Profile};
@@ -83,9 +83,6 @@ pub struct ReduceRetryOpts {
     pub dedup_attempts: bool,
     /// Planned fault schedule consulted per absorbed segment.
     pub injector: FaultInjector,
-    /// Hash family used to construct hash-backend groupers (the engine's
-    /// [`EngineConfig::hash_family`](crate::EngineConfig::hash_family)).
-    pub hash_family: HashFamily,
 }
 
 impl Default for ReduceRetryOpts {
@@ -95,7 +92,6 @@ impl Default for ReduceRetryOpts {
             backoff: Duration::ZERO,
             dedup_attempts: false,
             injector: FaultInjector::none(),
-            hash_family: HashFamily::default(),
         }
     }
 }
@@ -299,13 +295,7 @@ pub(crate) fn run_reduce_task_open(
         sheds: 0,
         shed_bytes: 0,
     };
-    let mut state = Some(AttemptState::new(
-        job,
-        store,
-        budget,
-        total,
-        opts.hash_family,
-    )?);
+    let mut state = Some(AttemptState::new(job, store, budget, total)?);
 
     // Retry ladder shared by absorb / snapshot / finish failures: burn an
     // attempt, back off, rebuild state, replay retained segments. Returns
@@ -580,7 +570,7 @@ fn rebuild(
     sink: &mut dyn Sink,
 ) -> Result<(AttemptState, u64)> {
     let (store, budget) = resources()?;
-    let mut st = AttemptState::new(job, store, budget, total_map_tasks, opts.hash_family)?;
+    let mut st = AttemptState::new(job, store, budget, total_map_tasks)?;
     st.skip_snapshots_up_to(maps_done, total_map_tasks);
     let mut records = 0u64;
     // Replay runs under a disabled tracer: the phases were already traced
@@ -619,7 +609,6 @@ impl AttemptState {
         store: Arc<dyn SpillStore>,
         budget: MemoryBudget,
         total_map_tasks: Option<usize>,
-        family: HashFamily,
     ) -> Result<Self> {
         match &job.backend {
             ReduceBackend::SortMerge {
@@ -654,7 +643,6 @@ impl AttemptState {
             _ => Ok(AttemptState::Hash(HashState {
                 store,
                 budget,
-                family,
                 grouper: None,
             })),
         }
@@ -758,7 +746,6 @@ impl AttemptState {
 struct HashState {
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
-    family: HashFamily,
     grouper: Option<Box<dyn GroupBy>>,
 }
 
@@ -783,7 +770,6 @@ impl HashState {
                     self.budget.clone(),
                     agg,
                     Some(trace.fork()),
-                    self.family,
                 )?;
                 self.grouper.insert(g)
             }

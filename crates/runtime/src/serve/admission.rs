@@ -3,7 +3,7 @@
 //! Admission answers one question: *may this tenant open sessions right
 //! now, and with how much memory?* The pool is fixed; the fair share is
 //! `pool / max_tenants` (floored), so a full house of tenants exactly
-//! subscribes the pool and the governor's spill policies arbitrate the
+//! subscribes the pool and the governor's shed rotation arbitrates the
 //! inevitable overcommit *within* leases rather than admission
 //! over-promising. When the house is full, subscribers wait (bounded
 //! queue, FIFO) until a seat frees; beyond that they are rejected

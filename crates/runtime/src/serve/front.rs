@@ -12,7 +12,8 @@
 //!
 //! Keys and values are hex-encoded on the wire because answer keys are
 //! raw bytes (little-endian ids) that may contain newlines; clients
-//! decode and render however they like. `ERROR <msg>` replaces the
+//! decode and render however they like. A SUBSCRIBE line longer than
+//! 4 KiB is answered with `REJECTED`. `ERROR <msg>` replaces the
 //! `FINAL`/`DONE` tail if the tenant's session failed. A client that
 //! disconnects mid-stream is detached server-side (its seat and memory
 //! leases free up).
@@ -20,7 +21,7 @@
 //! Binding `:0` picks an ephemeral port — the CLI prints the actual
 //! address so scripts never collide on fixed ports.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -29,6 +30,11 @@ use std::time::{Duration, Instant};
 use onepass_core::error::{Error, Result};
 
 use super::server::{Server, TenantEvent, TenantHandle};
+
+/// Longest SUBSCRIBE line accepted, newline included. Tenant ids and
+/// query names are short; a client that never sends a newline must not
+/// grow server memory.
+const MAX_SUBSCRIBE_LINE: u64 = 4 << 10;
 
 /// Hex-encode bytes for the wire.
 pub fn hex(bytes: &[u8]) -> String {
@@ -163,8 +169,17 @@ fn handle_conn(conn: TcpStream, server: Arc<Server>) {
     let mut reader = BufReader::new(peer);
     let mut writer = BufWriter::new(conn);
     let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
-        return;
+    match reader
+        .by_ref()
+        .take(MAX_SUBSCRIBE_LINE)
+        .read_line(&mut line)
+    {
+        Err(_) => return,
+        Ok(n) if n as u64 == MAX_SUBSCRIBE_LINE && !line.ends_with('\n') => {
+            let _ = writeln!(writer, "REJECTED subscribe line too long");
+            return;
+        }
+        Ok(_) => {}
     }
     let mut parts = line.split_whitespace();
     let handle = match (parts.next(), parts.next(), parts.next()) {
@@ -233,5 +248,27 @@ mod tests {
         assert_eq!(unhex("zz"), None);
         assert_eq!(unhex("abc"), None);
         assert_eq!(unhex("").unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn overlong_subscribe_line_is_rejected() {
+        use crate::serve::{QueryCatalog, ServeConfig};
+
+        let server =
+            Arc::new(Server::start(ServeConfig::default(), QueryCatalog::new(), None).unwrap());
+        let front = Frontend::bind(Arc::clone(&server), "127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(front.local_addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        // 64 KiB and no newline. The server may hang up before the
+        // whole write lands, so a write error is expected and ignored.
+        let _ = client.write_all(&vec![b'A'; 64 << 10]);
+        let mut reply = String::new();
+        BufReader::new(&client).read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("REJECTED"), "got {reply:?}");
+        assert!(front.wait_drained(Duration::from_secs(5)));
+        drop(front);
+        server.close().unwrap();
     }
 }

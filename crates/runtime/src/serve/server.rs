@@ -24,7 +24,6 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use onepass_core::error::{Error, Result};
 use onepass_core::governor::MemoryGovernor;
-use onepass_core::hashlib::HashFamily;
 use onepass_core::obs::MetricsRegistry;
 
 use crate::shuffle::PressureGate;
@@ -41,10 +40,6 @@ use super::tenant::{TenantClose, TenantSession};
 pub struct ServeConfig {
     /// Global memory pool shared by every tenant's sessions, bytes.
     pub pool_bytes: usize,
-    /// Spill policy arbitrating shed victims *across* tenants.
-    pub policy: Arc<dyn onepass_core::governor::SpillPolicy>,
-    /// Pool fraction above which ingest backpressure engages.
-    pub high_water: f64,
     /// Admission control knobs.
     pub admission: AdmissionConfig,
     /// Shard worker threads tenants are distributed over.
@@ -53,22 +48,16 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Per-tenant dead-letter queue knobs.
     pub dlq: DlqConfig,
-    /// Hash family for every tenant session's groupers.
-    pub hash_family: HashFamily,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             pool_bytes: 256 << 20,
-            policy: onepass_core::governor::policy_by_name("largest-consumer")
-                .expect("largest-consumer is registered"),
-            high_water: onepass_core::governor::DEFAULT_HIGH_WATER,
             admission: AdmissionConfig::default(),
             shards: 4,
             queue_depth: 64,
             dlq: DlqConfig::default(),
-            hash_family: HashFamily::default(),
         }
     }
 }
@@ -208,11 +197,7 @@ impl Server {
             return Err(Error::Config("serve needs at least one shard".into()));
         }
         super::install_poison_panic_filter();
-        let governor = MemoryGovernor::new(
-            config.pool_bytes,
-            Arc::clone(&config.policy),
-            config.high_water,
-        );
+        let governor = MemoryGovernor::new(config.pool_bytes);
         let metrics = ServeMetrics::new(registry);
         let gate = PressureGate::new(governor.clone(), config.queue_depth);
         let gate = match metrics.backpressure_stalls() {
@@ -284,7 +269,6 @@ impl Server {
         })?;
         let partitions = compiled.total_partitions().max(1);
         let opts = SessionOptions {
-            hash_family: self.config.hash_family,
             governor: Some(self.governor.clone()),
             lease_bytes: Some((share / partitions).max(1024)),
         };

@@ -31,13 +31,11 @@ use crate::plan::PairMap;
 /// The default is the classic standalone mode: each partition owns a
 /// private budget carved from the job's `reduce_budget_bytes`. Serving
 /// many sessions side by side instead wants every session *leasing* from
-/// one job-wide [`MemoryGovernor`] pool, so spill policies arbitrate
-/// across sessions (tenants) the same way they arbitrate across reduce
+/// one job-wide [`MemoryGovernor`] pool, so the governor arbitrates
+/// across sessions (tenants) the same way it arbitrates across reduce
 /// partitions in the batch engine.
 #[derive(Clone, Default)]
 pub struct SessionOptions {
-    /// Hash family for the session's groupers.
-    pub hash_family: onepass_core::hashlib::HashFamily,
     /// When set, per-partition budgets are leases from this governor's
     /// pool instead of private budgets; shed requests the governor posts
     /// are serviced at feed-batch boundaries.
@@ -50,7 +48,6 @@ pub struct SessionOptions {
 impl std::fmt::Debug for SessionOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionOptions")
-            .field("hash_family", &self.hash_family)
             .field("governed", &self.governor.is_some())
             .field("lease_bytes", &self.lease_bytes)
             .finish()
@@ -141,23 +138,7 @@ impl StreamSession {
     /// ([`ReduceBackend::IncHash`](crate::job::ReduceBackend::IncHash) or
     /// [`ReduceBackend::FreqHash`](crate::job::ReduceBackend::FreqHash)).
     pub fn new(job: JobSpec) -> Result<Self> {
-        Self::with_hash_family(job, onepass_core::hashlib::HashFamily::default())
-    }
-
-    /// [`StreamSession::new`] with an explicit hash family for the
-    /// session's groupers (the streaming analogue of
-    /// [`EngineConfigBuilder::hash_family`](crate::EngineConfigBuilder::hash_family)).
-    pub fn with_hash_family(
-        job: JobSpec,
-        family: onepass_core::hashlib::HashFamily,
-    ) -> Result<Self> {
-        Self::with_options(
-            job,
-            SessionOptions {
-                hash_family: family,
-                ..SessionOptions::default()
-            },
-        )
+        Self::with_options(job, SessionOptions::default())
     }
 
     /// Open a session with full [`SessionOptions`] — in particular, with
@@ -189,7 +170,6 @@ impl StreamSession {
                 store,
                 budget,
                 agg,
-                opts.hash_family,
             )?);
         }
         Ok(StreamSession {
@@ -432,7 +412,7 @@ mod tests {
 
     #[test]
     fn feed_after_close_fails() {
-        let s = session(ReduceBackend::FreqHash(Default::default()));
+        let s = session(ReduceBackend::FreqHash);
         let (_, stats) = s.close().unwrap();
         assert_eq!(stats.len(), 2);
 
@@ -471,13 +451,13 @@ mod tests {
 
     #[test]
     fn governed_sessions_share_one_pool_and_service_sheds() {
-        use onepass_core::governor::{policy_by_name, MemoryGovernor};
+        use onepass_core::governor::MemoryGovernor;
 
         // Two sessions lease from one tiny pool; pushing skewed keys
         // through both must trigger governor shed requests which the
         // sessions service at feed boundaries — and the final counts stay
         // exact regardless.
-        let gov = MemoryGovernor::new(64 * 1024, policy_by_name("largest-consumer").unwrap(), 0.5);
+        let gov = MemoryGovernor::new(64 * 1024);
         let mk = || {
             let job = JobSpec::builder("gov-stream")
                 .map_fn(Arc::new(crate::job::identity_map))
@@ -491,7 +471,6 @@ mod tests {
                 SessionOptions {
                     governor: Some(gov.clone()),
                     lease_bytes: Some(8 * 1024),
-                    ..SessionOptions::default()
                 },
             )
             .unwrap()
@@ -554,7 +533,7 @@ mod tests {
 
     #[test]
     fn counts_are_exact_across_partitions() {
-        let mut s = session(ReduceBackend::FreqHash(Default::default()));
+        let mut s = session(ReduceBackend::FreqHash);
         for i in 0..50u32 {
             let key = format!("k{}", i % 7);
             let batch: Vec<&[u8]> = vec![key.as_bytes()];

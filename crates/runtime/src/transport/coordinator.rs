@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
@@ -107,6 +107,10 @@ pub(crate) struct TcpCluster<'a> {
     start: Instant,
     aborting: AtomicBool,
     closing: AtomicBool,
+    /// Wakes the heartbeat thread the moment `close` runs, so a finished
+    /// job never waits out the rest of a ping period before its scope
+    /// joins.
+    close_wake: (Mutex<()>, Condvar),
     /// Serializes death handling (and replay) so two concurrent failure
     /// detections can't both re-home the same partition.
     death_lock: Mutex<()>,
@@ -198,6 +202,7 @@ impl<'a> TcpCluster<'a> {
             start,
             aborting: AtomicBool::new(false),
             closing: AtomicBool::new(false),
+            close_wake: (Mutex::new(()), Condvar::new()),
             death_lock: Mutex::new(()),
             sink_factory,
             done_tx,
@@ -230,6 +235,12 @@ impl<'a> TcpCluster<'a> {
     /// and sever every connection so reader threads unblock and exit.
     pub(crate) fn close(&self) {
         self.closing.store(true, Ordering::SeqCst);
+        {
+            // Notify under the lock: the heartbeat thread either sees
+            // `closing` before it waits or is already waiting.
+            let _guard = self.close_wake.0.lock().expect("close-wake lock");
+            self.close_wake.1.notify_all();
+        }
         for link in &self.links {
             if link.alive.load(Ordering::SeqCst) {
                 let _ = link.conn.send(&Frame::FeedClosed);
@@ -437,8 +448,15 @@ impl<'a> TcpCluster<'a> {
 
     fn heartbeat_loop(&self) {
         let mut nonce = 0u64;
-        while !self.closing.load(Ordering::SeqCst) {
-            std::thread::sleep(PING_EVERY);
+        let (lock, wake) = &self.close_wake;
+        loop {
+            let guard = lock.lock().expect("close-wake lock");
+            let _ = wake
+                .wait_timeout_while(guard, PING_EVERY, |_| !self.closing.load(Ordering::SeqCst))
+                .expect("close-wake lock");
+            if self.closing.load(Ordering::SeqCst) {
+                return;
+            }
             for link in &self.links {
                 if !link.alive.load(Ordering::SeqCst) {
                     continue;
@@ -790,5 +808,52 @@ fn map_stats(w: &WireMapStats) -> MapTaskStats {
         shuffled_bytes: w.shuffled_bytes,
         flushes: w.flushes,
         ..MapTaskStats::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::SpillBackend;
+    use crate::job::JobSpec;
+
+    #[test]
+    fn heartbeat_thread_joins_promptly_after_close() {
+        // A peer that accepts the connection and never answers is enough:
+        // the heartbeat thread only sends pings.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let job = JobSpec::builder("hb").build().unwrap();
+        let wire = WireJob::from_job(&job, 1, SpillBackend::Memory);
+        let tracer = Tracer::disabled();
+        let no_sinks: SinkFactory<'_> = Box::new(|_| unreachable!("no remote reduces"));
+        let cluster = TcpCluster::connect(
+            &[addr],
+            "hb",
+            wire,
+            1,
+            false,
+            Instant::now(),
+            None,
+            &tracer,
+            0,
+            no_sinks,
+        )
+        .unwrap();
+        let _peer = listener.accept().unwrap();
+
+        std::thread::scope(|s| {
+            let hb = s.spawn(|| cluster.heartbeat_loop());
+            // Let the loop settle into its wait between pings.
+            std::thread::sleep(Duration::from_millis(30));
+            let closed = Instant::now();
+            cluster.close();
+            hb.join().unwrap();
+            let waited = closed.elapsed();
+            assert!(
+                waited < Duration::from_millis(100),
+                "heartbeat thread took {waited:?} to join after close"
+            );
+        });
     }
 }

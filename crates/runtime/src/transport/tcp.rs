@@ -19,6 +19,24 @@ use super::wire::{Frame, MAX_FRAME};
 use super::SegmentSink;
 use crate::shuffle::{PressureGate, Segment, ShuffleTx};
 
+/// Initial capacity of a frame body buffer. The buffer then grows only
+/// with bytes that actually arrive, so a corrupt or hostile length prefix
+/// cannot make the reader allocate its declared size up front.
+const BODY_CHUNK: usize = 64 << 10;
+
+/// Read exactly `len` body bytes into `body`, growing it as data arrives.
+fn read_body(r: &mut impl Read, len: usize, body: &mut Vec<u8>) -> std::io::Result<()> {
+    body.reserve(len.min(BODY_CHUNK));
+    r.by_ref().take(len as u64).read_to_end(body)?;
+    if body.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame truncated after {} of {len} bytes", body.len()),
+        ));
+    }
+    Ok(())
+}
+
 /// One framed, bidirectional connection.
 pub(crate) struct Conn {
     peer: String,
@@ -96,8 +114,8 @@ impl Conn {
                     self.peer
                 )));
             }
-            let mut body = vec![0u8; len];
-            r.read_exact(&mut body)?;
+            let mut body = Vec::new();
+            read_body(&mut *r, len, &mut body)?;
             body
         };
         self.rx_bytes
@@ -217,5 +235,32 @@ mod tests {
         let conn = Conn::connect(&addr).unwrap();
         assert!(matches!(conn.recv(), Err(Error::Corrupt(_))));
         server.join().unwrap();
+    }
+
+    #[test]
+    fn max_frame_prefix_then_eof_errors_without_allocating_it() {
+        // The body buffer grows with the bytes that arrive, not with the
+        // declared length.
+        let mut body = Vec::new();
+        let mut nothing: &[u8] = &[];
+        assert!(read_body(&mut nothing, MAX_FRAME, &mut body).is_err());
+        assert!(
+            body.capacity() <= BODY_CHUNK,
+            "allocated {} bytes for an empty body",
+            body.capacity()
+        );
+
+        // Same over a socket: a peer declares MAX_FRAME and hangs up.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            use std::io::Write as _;
+            s.write_all(&(MAX_FRAME as u32).to_le_bytes()).unwrap();
+        });
+        let conn = Conn::connect(&addr).unwrap();
+        assert!(matches!(conn.recv(), Err(Error::Io(_))));
+        server.join().unwrap();
+        assert_eq!(conn.rx_bytes(), 0, "a truncated frame is not counted");
     }
 }

@@ -15,9 +15,7 @@
 use std::sync::Arc;
 
 use onepass_core::error::{Error, Result};
-use onepass_core::hashlib::HashFamily;
 use onepass_core::SegmentBuf;
-use onepass_groupby::freq_hash::FreqHashConfig;
 
 use crate::driver::SpillBackend;
 use crate::job::{Combine, JobSpec, MapSideMode, ReduceBackend, ShuffleMode};
@@ -69,7 +67,7 @@ pub(crate) struct WireJob {
     pub combine: u8,
     /// 0 = SortMerge, 1 = HybridHash, 2 = IncHash, 3 = FreqHash.
     pub backend: u8,
-    /// merge_factor / fanout, depending on `backend`.
+    /// merge_factor / fanout, depending on `backend` (0 when unused).
     pub backend_arg: u64,
     pub snapshots: Vec<f64>,
     pub map_buffer_bytes: u64,
@@ -79,18 +77,11 @@ pub(crate) struct WireJob {
     pub max_attempts: u64,
     /// 0 = Memory, 1 = TempFiles.
     pub spill: u8,
-    /// 0 = MultiplyShift, 1 = Tabulation.
-    pub hash_family: u8,
 }
 
 impl WireJob {
     /// Capture `job`'s scalar knobs plus the engine knobs a worker needs.
-    pub(crate) fn from_job(
-        job: &JobSpec,
-        max_attempts: usize,
-        spill: SpillBackend,
-        hash_family: HashFamily,
-    ) -> Self {
+    pub(crate) fn from_job(job: &JobSpec, max_attempts: usize, spill: SpillBackend) -> Self {
         let (backend, backend_arg, snapshots) = match &job.backend {
             ReduceBackend::SortMerge {
                 merge_factor,
@@ -98,7 +89,7 @@ impl WireJob {
             } => (0, *merge_factor as u64, snapshots.clone()),
             ReduceBackend::HybridHash { fanout } => (1, *fanout as u64, Vec::new()),
             ReduceBackend::IncHash { .. } => (2, 0, Vec::new()),
-            ReduceBackend::FreqHash(c) => (3, c.cold_fanout as u64, Vec::new()),
+            ReduceBackend::FreqHash => (3, 0, Vec::new()),
         };
         let (shuffle, granularity) = match job.shuffle {
             ShuffleMode::Pull => (0, 0),
@@ -126,17 +117,13 @@ impl WireJob {
                 SpillBackend::Memory => 0,
                 SpillBackend::TempFiles => 1,
             },
-            hash_family: match hash_family {
-                HashFamily::MultiplyShift => 0,
-                HashFamily::Tabulation => 1,
-            },
         }
     }
 
     /// Overlay these knobs on `base` (the registry-built spec). Closures
     /// (map fn, aggregate, partitioner, early-emit policies) always come
-    /// from `base`; when the wire backend kind matches `base`'s, backend
-    /// sub-config the wire can't carry is preserved too.
+    /// from `base`; when the wire backend kind matches `base`'s, the
+    /// early-emit policy the wire can't carry is preserved too.
     pub(crate) fn apply(&self, base: JobSpec) -> Result<JobSpec> {
         let mut job = base;
         job.reducers = self.reducers as usize;
@@ -166,14 +153,13 @@ impl WireJob {
             (1, _) => ReduceBackend::HybridHash {
                 fanout: self.backend_arg as usize,
             },
-            // Keep the registry's early-emit policy / sketch config when
-            // the kinds line up; otherwise fall back to defaults.
+            // Keep the registry's early-emit policy when the kinds line
+            // up; otherwise fall back to none.
             (2, ReduceBackend::IncHash { early }) => ReduceBackend::IncHash {
                 early: early.clone(),
             },
             (2, _) => ReduceBackend::IncHash { early: None },
-            (3, ReduceBackend::FreqHash(c)) => ReduceBackend::FreqHash(c.clone()),
-            (3, _) => ReduceBackend::FreqHash(FreqHashConfig::default()),
+            (3, _) => ReduceBackend::FreqHash,
             (n, _) => return Err(Error::Corrupt(format!("bad backend tag {n}"))),
         };
         job.map_buffer_bytes = self.map_buffer_bytes as usize;
@@ -189,15 +175,6 @@ impl WireJob {
             SpillBackend::TempFiles
         } else {
             SpillBackend::Memory
-        }
-    }
-
-    /// The hash family the worker's group-by operators should draw from.
-    pub(crate) fn family(&self) -> HashFamily {
-        if self.hash_family == 1 {
-            HashFamily::Tabulation
-        } else {
-            HashFamily::MultiplyShift
         }
     }
 }
@@ -382,7 +359,6 @@ impl Frame {
                 e.u64(j.inmem_merge_threshold);
                 e.u64(j.max_attempts);
                 e.u8(j.spill);
-                e.u8(j.hash_family);
                 e.buf
             }
             Frame::NewSplit {
@@ -568,7 +544,6 @@ impl Frame {
                     inmem_merge_threshold: d.u64()?,
                     max_attempts: d.u64()?,
                     spill: d.u8()?,
-                    hash_family: d.u8()?,
                 })
             }
             T_NEW_SPLIT => {
@@ -778,7 +753,7 @@ mod tests {
             .preset_onepass()
             .build()
             .unwrap();
-        let wire = WireJob::from_job(&base, 4, SpillBackend::TempFiles, HashFamily::Tabulation);
+        let wire = WireJob::from_job(&base, 4, SpillBackend::TempFiles);
         roundtrip(Frame::JobInit(wire.clone()));
 
         // Apply onto a default-shaped registry spec: scalars come from the
@@ -788,7 +763,7 @@ mod tests {
         assert_eq!(applied.reducers, 3);
         assert_eq!(applied.map_side, base.map_side);
         assert_eq!(applied.shuffle, base.shuffle);
-        assert!(matches!(applied.backend, ReduceBackend::FreqHash(_)));
+        assert!(matches!(applied.backend, ReduceBackend::FreqHash));
         assert_eq!(wire.spill_backend(), SpillBackend::TempFiles);
     }
 

@@ -389,7 +389,6 @@ fn reduce_partition(
         backoff: Duration::ZERO,
         dedup_attempts: true,
         injector: FaultInjector::none(),
-        hash_family: wire.family(),
     };
     let mut sink = FrameSink::new(Arc::clone(conn), partition);
     let mut trace = LocalTracer::disabled();

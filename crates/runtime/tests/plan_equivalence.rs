@@ -6,11 +6,10 @@
 //! hand-chained [`Engine::run`] calls with the edge encoded manually
 //! through the edge codec — and all four match a pure-Rust reference.
 //! The property sweeps all four reduce backends, both spill backends,
-//! the memory-governor policies, both hash families, in-node combining
-//! on/off, and a seeded fault plan that kills a map and a reduce task
-//! mid-run, so edge streaming (and a cached round's replay) must
-//! survive retries, spills, worker combine-table flushes, and
-//! rebalancing without changing answers.
+//! both memory policies, in-node combining on/off, and a seeded fault
+//! plan that kills a map and a reduce task mid-run, so edge streaming
+//! (and a cached round's replay) must survive retries, spills, worker
+//! combine-table flushes, and rebalancing without changing answers.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -59,29 +58,7 @@ fn mk_backend(tag: u8) -> ReduceBackend {
         },
         1 => ReduceBackend::HybridHash { fanout: 4 },
         2 => ReduceBackend::IncHash { early: None },
-        _ => ReduceBackend::FreqHash(Default::default()),
-    }
-}
-
-fn mk_policy(tag: u8) -> MemoryPolicy {
-    match tag {
-        0 => MemoryPolicy::Static,
-        1 => MemoryPolicy::Adaptive {
-            policy: policy_by_name("largest-consumer").unwrap(),
-            high_water: 0.85,
-        },
-        2 => MemoryPolicy::Adaptive {
-            policy: policy_by_name("largest-bucket").unwrap(),
-            high_water: 0.75,
-        },
-        3 => MemoryPolicy::Adaptive {
-            policy: policy_by_name("coldest-keys").unwrap(),
-            high_water: 0.85,
-        },
-        _ => MemoryPolicy::Adaptive {
-            policy: policy_by_name("round-robin").unwrap(),
-            high_water: 0.5,
-        },
+        _ => ReduceBackend::FreqHash,
     }
 }
 
@@ -126,13 +103,11 @@ fn mk_config(
     spill: SpillBackend,
     policy: MemoryPolicy,
     faults: Option<FaultPlan>,
-    family: HashFamily,
     in_node: InNodeCombine,
 ) -> EngineConfig {
     let mut b = EngineConfig::builder()
         .spill(spill)
         .memory_policy(policy)
-        .hash_family(family)
         .in_node_combine(in_node);
     if let Some(f) = faults {
         b = b
@@ -156,17 +131,18 @@ proptest! {
         fault_seed in any::<u64>(),
         reducers in 1usize..4,
         per_split in 1usize..10,
-        policy_tag in 0u8..5,
+        adaptive in any::<bool>(),
         // Tiny edge splits exercise the streaming hand-off; larger ones
         // exercise batching. Either way the answer must not move.
         records_per_split in 1usize..64,
         innode_off in any::<bool>(),
-        tabulation in any::<bool>(),
+        // Plan mode of the cache-carried leg.
+        cache_barrier in any::<bool>(),
     ) {
-        let family = if tabulation {
-            HashFamily::Tabulation
+        let policy = if adaptive {
+            MemoryPolicy::Adaptive
         } else {
-            HashFamily::MultiplyShift
+            MemoryPolicy::Static
         };
         let in_node = if innode_off {
             InNodeCombine::Off
@@ -202,7 +178,7 @@ proptest! {
 
         let mut outputs = Vec::new();
         for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), family, in_node);
+            let cfg = mk_config(spill, policy, Some(faults.clone()), in_node);
             let mut pc = PlanConfig::new(mode);
             pc.records_per_split = records_per_split;
             let report = Engine::with_config(cfg)
@@ -222,12 +198,12 @@ proptest! {
         // cache without changing bytes.
         {
             let cache = DatasetCache::new(CacheConfig::default());
-            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), family, in_node);
+            let cfg = mk_config(spill, policy, Some(faults.clone()), in_node);
             let engine = Engine::with_config(cfg);
-            let mut pc = PlanConfig::new(if policy_tag % 2 == 0 {
-                PlanMode::Pipelined
-            } else {
+            let mut pc = PlanConfig::new(if cache_barrier {
                 PlanMode::Barrier
+            } else {
+                PlanMode::Pipelined
             });
             pc.records_per_split = records_per_split;
 
@@ -264,7 +240,7 @@ proptest! {
         // Manual chaining: run each stage as a standalone job and carry
         // the edge by hand through the public edge codec. No faults —
         // this leg is the engine-level reference, kept deterministic.
-        let r1 = Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, family, in_node))
+        let r1 = Engine::with_config(mk_config(spill, policy, None, in_node))
             .run(&count_job(backend, reducers), splits)
             .unwrap();
         let edge: Vec<Vec<u8>> = r1
@@ -286,7 +262,7 @@ proptest! {
             None
         } else {
             Some(
-                Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, family, in_node))
+                Engine::with_config(mk_config(spill, policy, None, in_node))
                     .run(&job2, edge_splits)
                     .unwrap(),
             )

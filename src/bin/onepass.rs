@@ -4,10 +4,8 @@
 //! ```text
 //! onepass run <workload> [--system hadoop|hop|onepass] [--records N]
 //!              [--reducers R] [--budget-kb K]
-//!              [--hash-family multiply-shift|tabulation]
 //!              [--in-node-combine on|off]
-//!              [--mem-policy static|largest-consumer|largest-bucket|coldest-keys|round-robin]
-//!              [--mem-high-water F]
+//!              [--mem-policy static|adaptive]
 //!              [--retries N] [--backoff-ms MS] [--speculate]
 //!              [--kill-map T] [--kill-reduce P] [--straggle-map T:MS]
 //!              [--fault-seed S] [--workers ADDR,ADDR,...]
@@ -15,9 +13,8 @@
 //! onepass worker --listen ADDR [--slots N] [--die-after-maps N]
 //! onepass plan <top-k|df-histogram> [--pipeline|--barrier] [--records N]
 //!              [--reducers R] [--k K]
-//!              [--hash-family multiply-shift|tabulation]
 //!              [--in-node-combine on|off]
-//!              [--mem-policy <policy>] [--mem-high-water F]
+//!              [--mem-policy static|adaptive]
 //!              [--trace-out trace.json] [--report-jsonl report.jsonl]
 //! onepass sim <workload> [--system hadoop|hop|onepass]
 //!              [--storage single-hdd|hdd+ssd|separated] [--scale F]
@@ -54,18 +51,18 @@
 //! compute multiplier in the sim) so `--speculate` has something to
 //! race; `--retries` defaults to 3 whenever a fault flag is present.
 //!
-//! Hashing & combining: `--hash-family` selects the engine-wide hash
-//! family (multiply-shift, the default, or tabulation) used by the
-//! partitioner and every hash group-by; `--in-node-combine off` disables
-//! the worker-scoped combine table that map tasks on the same executor
-//! worker drain into before shuffle (it is on by default on every
-//! combiner-friendly hash-combine job).
+//! Combining: `--in-node-combine off` disables the worker-scoped combine
+//! table that map tasks on the same executor worker drain into before
+//! shuffle (it is on by default on every combiner-friendly hash-combine
+//! job). Every partitioner and hash group-by draws from one
+//! multiply-shift hash family.
 //!
-//! Memory governance: `--mem-policy <policy>` pools the reduce budgets
-//! under the adaptive governor with the named spill policy (`static`,
-//! the default, keeps fixed private budgets); `--mem-high-water F` sets
-//! the pool fraction above which map-side pushes backpressure. The sim
-//! mirrors the governor with `--adaptive-memory`.
+//! Memory governance: `--mem-policy adaptive` pools the reduce budgets
+//! under the adaptive governor, which rebalances leases, sheds
+//! round-robin under global pressure and backpressures map-side pushes
+//! above 85% pool use; `static`, the default, keeps fixed private
+//! budgets. `onepass serve` always runs its tenants under the governor.
+//! The sim mirrors the governor with `--adaptive-memory`.
 //!
 //! Live metrics: `--metrics-addr HOST:PORT` serves Prometheus text
 //! exposition over HTTP for the duration of the run (add
@@ -101,23 +98,21 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  \
          onepass run <workload> [--system hadoop|hop|onepass] [--records N] [--reducers R] [--budget-kb K]\n  \
-         \x20           [--hash-family multiply-shift|tabulation] [--in-node-combine on|off]\n  \
-         \x20           [--mem-policy static|largest-consumer|largest-bucket|coldest-keys|round-robin] [--mem-high-water F]\n  \
+         \x20           [--in-node-combine on|off] [--mem-policy static|adaptive]\n  \
          \x20           [--retries N] [--backoff-ms MS] [--speculate] [--kill-map T] [--kill-reduce P]\n  \
          \x20           [--straggle-map T:MS] [--fault-seed S] [--workers ADDR,ADDR,...]\n  \
          \x20           [--trace-out trace.json] [--report-jsonl report.jsonl] [--dump-out FILE]\n  \
          onepass worker --listen ADDR [--slots N] [--die-after-maps N]\n  \
          onepass plan <top-k|df-histogram|pagerank|kmeans|join> [--pipeline|--barrier] [--records N] [--reducers R] [--k K]\n  \
          \x20           [--rounds N] [--converge-eps E] [--users N]\n  \
-         \x20           [--hash-family multiply-shift|tabulation] [--in-node-combine on|off]\n  \
-         \x20           [--mem-policy <policy>] [--mem-high-water F] [--trace-out trace.json] [--report-jsonl report.jsonl]\n  \
+         \x20           [--in-node-combine on|off] [--mem-policy static|adaptive]\n  \
+         \x20           [--trace-out trace.json] [--report-jsonl report.jsonl]\n  \
          onepass sim <workload> [--system hadoop|hop|onepass] [--storage single-hdd|hdd+ssd|separated] [--scale F]\n  \
          \x20           [--adaptive-memory] [--kill-map T] [--kill-reduce P] [--straggle-map T:FACTOR] [--speculate]\n  \
          \x20           [--trace-out trace.json] [--report-jsonl report.jsonl]\n  \
          onepass serve [--listen HOST:PORT] [--records N] [--doc-records N] [--batch B]\n  \
-         \x20           [--pool-mb MB] [--mem-policy <policy>] [--mem-high-water F] [--max-tenants N]\n  \
-         \x20           [--shards S] [--reducers R] [--k K] [--early-every N] [--dlq-retries R]\n  \
-         \x20           [--await-tenants N] [--await-timeout-ms MS] [--hash-family F]\n  \
+         \x20           [--pool-mb MB] [--max-tenants N] [--shards S] [--reducers R] [--k K]\n  \
+         \x20           [--early-every N] [--dlq-retries R] [--await-tenants N] [--await-timeout-ms MS]\n  \
          onepass loadgen --server HOST:PORT --tenants N [--queries a,b,...] [--zipf S] [--seed S]\n  \
          \x20           [--dump-dir DIR] [--report FILE]\n  \
          onepass metrics-validate <snapshots.jsonl>\n  \
@@ -146,11 +141,11 @@ fn task_value(spec: &str) -> Option<(usize, f64)> {
     Some((t.parse().ok()?, v.parse().ok()?))
 }
 
-fn hash_family_flag(args: &[String]) -> HashFamily {
-    match flag(args, "hash-family") {
-        None => HashFamily::default(),
-        Some(v) => HashFamily::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --hash-family {v:?} (multiply-shift | tabulation)");
+fn mem_policy_flag(args: &[String]) -> MemoryPolicy {
+    match flag(args, "mem-policy") {
+        None => MemoryPolicy::Static,
+        Some(v) => MemoryPolicy::parse(&v).unwrap_or_else(|| {
+            eprintln!("unknown --mem-policy {v:?} (static | adaptive)");
             usage();
         }),
     }
@@ -383,7 +378,6 @@ fn cmd_run(args: &[String]) {
         .and_then(|v| v.parse().ok())
         .unwrap_or(64 * 1024);
 
-    let hash_family = hash_family_flag(args);
     // --dump-out FILE: retain the final output pairs and write them,
     // sorted, to FILE — the hook the distributed smoke test diffs across
     // single-process and multi-worker runs.
@@ -396,10 +390,7 @@ fn cmd_run(args: &[String]) {
     let builder = job_builder(&workload)
         .reducers(reducers)
         .collect_mode(collect_mode)
-        .reduce_budget_bytes(budget_kb * 1024)
-        .partitioner(std::sync::Arc::new(
-            onepass::runtime::job::HashPartitioner::with_family(hash_family),
-        ));
+        .reduce_budget_bytes(budget_kb * 1024);
     let job = match system.as_str() {
         "hadoop" => builder.preset_hadoop(),
         "hop" => builder.preset_hop(),
@@ -450,24 +441,9 @@ fn cmd_run(args: &[String]) {
         .unwrap_or(0);
     let speculate = switch(args, "speculate");
 
-    let memory_policy = match flag(args, "mem-policy").as_deref() {
-        None | Some("static") => MemoryPolicy::Static,
-        Some(name) => {
-            let Some(policy) = policy_by_name(name) else {
-                eprintln!("unknown --mem-policy {name:?}");
-                usage();
-            };
-            let high_water = flag(args, "mem-high-water")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(onepass_core::governor::DEFAULT_HIGH_WATER);
-            MemoryPolicy::Adaptive { policy, high_water }
-        }
-    };
-
     let mut config = EngineConfig::builder()
         .tracer(tracer.clone())
-        .memory_policy(memory_policy)
-        .hash_family(hash_family)
+        .memory_policy(mem_policy_flag(args))
         .in_node_combine(in_node_flag(args))
         .retry(RetryPolicy {
             max_attempts: retries.max(1),
@@ -586,7 +562,7 @@ fn cmd_run(args: &[String]) {
 }
 
 /// The engine config every `plan` variant shares: tracer, memory
-/// policy, hash family, in-node combine, optional metrics rig.
+/// policy, in-node combine, optional metrics rig.
 fn plan_engine_parts(args: &[String]) -> (EngineConfig, Option<MetricsRig>, Tracer, Option<String>) {
     let trace_out = flag(args, "trace-out");
     let tracer = if trace_out.is_some() {
@@ -594,23 +570,9 @@ fn plan_engine_parts(args: &[String]) -> (EngineConfig, Option<MetricsRig>, Trac
     } else {
         Tracer::disabled()
     };
-    let memory_policy = match flag(args, "mem-policy").as_deref() {
-        None | Some("static") => MemoryPolicy::Static,
-        Some(name) => {
-            let Some(policy) = policy_by_name(name) else {
-                eprintln!("unknown --mem-policy {name:?}");
-                usage();
-            };
-            let high_water = flag(args, "mem-high-water")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(onepass_core::governor::DEFAULT_HIGH_WATER);
-            MemoryPolicy::Adaptive { policy, high_water }
-        }
-    };
     let mut config = EngineConfig::builder()
         .tracer(tracer.clone())
-        .memory_policy(memory_policy)
-        .hash_family(hash_family_flag(args))
+        .memory_policy(mem_policy_flag(args))
         .in_node_combine(in_node_flag(args));
     let rig = MetricsRig::from_args(args);
     if let Some(r) = &rig {
@@ -1027,14 +989,6 @@ fn cmd_serve(args: &[String]) {
     let pool_mb: usize = flag(args, "pool-mb")
         .and_then(|v| v.parse().ok())
         .unwrap_or(256);
-    let policy_name = flag(args, "mem-policy").unwrap_or_else(|| "largest-consumer".into());
-    let Some(policy) = policy_by_name(&policy_name) else {
-        eprintln!("unknown --mem-policy {policy_name:?}");
-        usage();
-    };
-    let high_water: f64 = flag(args, "mem-high-water")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(onepass_core::governor::DEFAULT_HIGH_WATER);
     let max_tenants: usize = flag(args, "max-tenants")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1024);
@@ -1069,8 +1023,6 @@ fn cmd_serve(args: &[String]) {
     });
     let config = ServeConfig {
         pool_bytes: pool_mb << 20,
-        policy,
-        high_water,
         admission: AdmissionConfig {
             max_tenants,
             ..AdmissionConfig::default()
@@ -1080,7 +1032,6 @@ fn cmd_serve(args: &[String]) {
             max_retries: dlq_retries,
             ..DlqConfig::default()
         },
-        hash_family: hash_family_flag(args),
         ..ServeConfig::default()
     };
     let rig = MetricsRig::from_args(args);
@@ -1092,7 +1043,7 @@ fn cmd_serve(args: &[String]) {
     // Scripts parse this line for the bound (possibly ephemeral) port.
     println!("serving tenants on {}", front.local_addr());
     eprintln!(
-        "pool {} / {policy_name}, {shards} shard(s), max {max_tenants} tenant(s); \
+        "pool {}, {shards} shard(s), max {max_tenants} tenant(s); \
          feeding {records} click + {doc_records} doc record(s) in batches of {batch}",
         fmt_bytes((pool_mb << 20) as u64),
     );
